@@ -167,25 +167,37 @@ def _save_cache(cache_dir: str, cache: SceneCache):
         raise
 
 
-def _load_cache(cache_dir: str, key: str, n: int) -> SceneCache | None:
+def _entry_valid(arrays: dict, n: int, k: int) -> bool:
+    """A cache entry is used only if its k-NN table is an integer (n, k) table
+    of ids in [0, n) with each point first in its own row, and its partitions
+    and edge flags cover the n points."""
+    knn = arrays["knn"]
+    if not np.issubdtype(knn.dtype, np.integer) or knn.shape != (n, k):
+        return False
+    if knn.min() < 0 or knn.max() >= n or not np.array_equal(knn[:, 0], np.arange(n)):
+        return False
+    return all(arrays[name].shape == (n,) for name in ("geo", "color", "merged", "edges"))
+
+
+def _load_cache(cache_dir: str, key: str, n: int, k: int) -> SceneCache | None:
     path = _cache_path(cache_dir, key)
     if not os.path.exists(path):
         return None
     try:
         with np.load(path) as data:
-            knn = data["knn"]
-            if knn.shape[0] != n:
-                return None
-            return SceneCache(
-                key=key,
-                knn=knn,
-                normals=data["normals"],
-                curvatures=data["curvatures"],
-                geo=from_membership(data["geo"]),
-                color=from_membership(data["color"]),
-                merged=from_membership(data["merged"]),
-                edges=EdgeLabels(is_edge=data["edges"]),
-            )
+            arrays = {name: data[name] for name in ("knn", "normals", "curvatures", "geo", "color", "merged", "edges")}
+        if not _entry_valid(arrays, n, k):
+            return None
+        return SceneCache(
+            key=key,
+            knn=arrays["knn"],
+            normals=arrays["normals"],
+            curvatures=arrays["curvatures"],
+            geo=from_membership(arrays["geo"]),
+            color=from_membership(arrays["color"]),
+            merged=from_membership(arrays["merged"]),
+            edges=EdgeLabels(is_edge=arrays["edges"]),
+        )
     except Exception:
         # Corrupt or stale entry: fall through to a recompute.
         return None
@@ -197,7 +209,7 @@ def precompute_scene(cloud: PointCloud, config: TrainConfig) -> SceneCache:
     key = _geometry_key(cloud, config)
     cache_dir = config.cache_dir or os.environ.get(CACHE_ENV_VAR)
     if cache_dir:
-        hit = _load_cache(cache_dir, key, cloud.n)
+        hit = _load_cache(cache_dir, key, cloud.n, config.k_table)
         if hit is not None:
             return hit
     index = build_index(cloud)
@@ -335,7 +347,10 @@ def evaluate(params: Params, scenes, caches: dict, config: TrainConfig) -> Metri
         pred = predict_pseudo_labels(
             params, scene, caches[scene.scene_id], config, seed=derive_seed(config.seed, _TAG_EVAL, scene.scene_id)
         )
-        idx = scene.labels.class_of * c + pred.class_of
+        # Points without a truth label (-1) are left out of the score.
+        truth = scene.labels.class_of
+        labeled = truth >= 0
+        idx = truth[labeled] * c + pred.class_of[labeled]
         conf += np.bincount(idx, minlength=c * c).reshape(c, c)
     return metrics_from_confusion(conf)
 

@@ -27,6 +27,22 @@ def oracle_knn(positions, q, k):
     return order[:k]
 
 
+def oracle_knn_table(positions, k, rows=None):
+    """The k-NN rows of `rows` (default: every point) by ranking all points,
+    the brute-force rule the grid index must reproduce: per row, np.lexsort
+    on (id, squared distance) with the query point forced first. Quadratic
+    in time and memory, so keep `rows` small on large clouds."""
+    pos = np.asarray(positions, dtype=np.float64)
+    n = pos.shape[0]
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    with np.errstate(over="ignore"):
+        d = pos[rows, None, :] - pos[None, :, :]
+        d2 = (d[:, :, 0] * d[:, :, 0] + d[:, :, 1] * d[:, :, 1]) + d[:, :, 2] * d[:, :, 2]
+    d2[np.arange(rows.size), rows] = -1.0
+    ids = np.broadcast_to(np.arange(n), d2.shape)
+    return np.lexsort((ids, d2), axis=-1)[:, :k]
+
+
 # ------------------------------------------------------- 3x3 eigensolver
 
 

@@ -6,9 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import grid_cloud, random_cloud
-from oracles import oracle_eig3, oracle_knn, oracle_nullspace_vector, oracle_point_covariance
+from oracles import (
+    oracle_eig3,
+    oracle_knn,
+    oracle_knn_table,
+    oracle_nullspace_vector,
+    oracle_point_covariance,
+)
 from spseg import PointCloud, ValidationError, build_index, estimate_surface
+from spseg import cloud as cloud_module
 from spseg.cloud import CURVATURE_MAX
+from spseg.scenes import default_room_spec, generate_synthetic_scene
 
 
 class TestPointCloud:
@@ -97,6 +105,132 @@ class TestKnn:
         index = build_index(cloud)
         q = int(r.integers(0, n))
         assert index.knn(q, k).tolist() == oracle_knn(cloud.positions, q, k)
+
+
+def assert_table_matches_oracle(positions, k):
+    """The whole k-NN table equals the per-query brute-force oracle."""
+    pos = np.asarray(positions, dtype=np.float64)
+    cloud = PointCloud(positions=pos, colors=np.zeros_like(pos))
+    table = build_index(cloud).knn_table(k)
+    with np.errstate(over="ignore"):
+        expected = [oracle_knn(cloud.positions, q, k) for q in range(cloud.n)]
+    assert table.shape == (cloud.n, k)
+    assert table.tolist() == expected
+
+
+class TestKnnGrid:
+    """Whole tables from the voxel grid against the brute-force oracles, on
+    clouds built to break a grid: shared cells, points on cell faces, flat
+    extents, lost precision, overflowing distances and empty space."""
+
+    def test_all_points_coincident(self):
+        assert_table_matches_oracle(np.full((300, 3), 0.25), 16)
+
+    def test_integer_lattice_on_cell_faces(self, monkeypatch):
+        # With a cell edge of exactly 1, every lattice point lies on a cell
+        # face, and neighbors tie at every lattice distance.
+        lattice = np.stack(np.meshgrid(*[np.arange(8.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+        fit = cloud_module._fit_grid
+        monkeypatch.setattr(
+            cloud_module, "_cell_grid", lambda u, span, k: fit(span, span > 0, 1.0, u.shape[0])
+        )
+        grid = cloud_module._Grid(lattice, 16)
+        assert grid.h == 1.0 and (grid.dims == 8).all()
+        assert np.array_equal(grid.cell, lattice.astype(np.int64))
+        for k in (7, 16, 27):
+            assert_table_matches_oracle(lattice, k)
+
+    def test_point_rounded_into_next_cell(self, monkeypatch):
+        # With cells 0.1 wide, x = 1.7 lands in cell 17 although it lies
+        # below the face 17 * 0.1 = 1.7000000000000002 of the block around
+        # query 3. Point 1 there ties point 2 inside the block and wins on
+        # id; only the face slack keeps the block from certifying the row.
+        fit = cloud_module._fit_grid
+        monkeypatch.setattr(
+            cloud_module, "_cell_grid", lambda u, span, k: fit(span, span > 0, 0.1, u.shape[0])
+        )
+        q = 1.5750000000000002
+        d = 1.7 - q
+        pos = [[0.0, 0.0, 0.0], [1.7, 0.0, 0.0], [q, d, 0.0], [q, 0.0, 0.0]]
+        pos += [[2.2 + 0.03 * i, 0.0, 0.0] for i in range(11)]
+        pos = np.array(pos)
+        grid = cloud_module._Grid(pos, 2)
+        assert grid.cell[1, 0] == 17 and 1.7 < 17 * grid.h
+        assert build_index(PointCloud(positions=pos, colors=np.zeros_like(pos))).knn(3, 2).tolist() == [3, 1]
+        assert_table_matches_oracle(pos, 2)
+
+    def test_integer_lattice_with_derived_cells(self):
+        lattice = np.stack(np.meshgrid(*[np.arange(9.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+        for k in (6, 16, 19):
+            assert_table_matches_oracle(lattice, k)
+
+    def test_flat_plane(self, rng):
+        pos = rng.uniform(-1.0, 1.0, size=(400, 3))
+        pos[:, 2] = 0.7
+        assert_table_matches_oracle(pos, 16)
+
+    def test_collinear_line(self, rng):
+        pos = np.zeros((300, 3))
+        pos[:, 1] = rng.uniform(0.0, 5.0, size=300)
+        pos[::7, 1] = pos[1::7, 1][: pos[::7].shape[0]]
+        assert_table_matches_oracle(pos, 16)
+
+    def test_large_offset(self, rng):
+        assert_table_matches_oracle(rng.uniform(-1.0, 1.0, size=(400, 3)) + 1e6, 16)
+
+    def test_overflowing_distances(self, rng):
+        # Squared distances of points spread over +-1e300 overflow to inf, so
+        # most rows rank by id alone.
+        pos = rng.uniform(-1e300, 1e300, size=(200, 3))
+        pos[:40] = rng.uniform(-1.0, 1.0, size=(40, 3))
+        pos[40:50] = pos[50:60]
+        assert_table_matches_oracle(pos, 16)
+
+    def test_two_tight_clusters_far_apart(self, rng):
+        pos = np.concatenate(
+            [rng.normal(0.0, 0.01, size=(150, 3)), rng.normal(1000.0, 0.01, size=(150, 3))]
+        )
+        assert_table_matches_oracle(pos, 16)
+        # A cluster smaller than k must reach across the empty space.
+        pos = np.concatenate(
+            [rng.normal(0.0, 0.01, size=(290, 3)), rng.normal(1000.0, 0.01, size=(10, 3))]
+        )
+        assert_table_matches_oracle(pos, 16)
+
+    def test_k_equals_n(self, rng):
+        cloud = random_cloud(rng, 60, dup_fraction=0.2)
+        assert_table_matches_oracle(cloud.positions, 60)
+
+    def test_single_point(self):
+        assert_table_matches_oracle(np.zeros((1, 3)), 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        k=st.integers(1, 24),
+        dup=st.floats(0.0, 0.5),
+        scale_exp=st.floats(-6.0, 6.0),
+        offset=st.floats(-1e6, 1e6),
+        seed=st.integers(0, 10**6),
+    )
+    def test_property_whole_table(self, n, k, dup, scale_exp, offset, seed):
+        r = np.random.default_rng(seed)
+        pos = r.uniform(-1.0, 1.0, size=(n, 3)) * 10.0**scale_exp + offset
+        copies = int(n * dup)
+        pos[r.integers(0, n, size=copies)] = pos[r.integers(0, n, size=copies)]
+        assert_table_matches_oracle(pos, min(k, n))
+
+    def test_generated_room_rows(self):
+        cloud, _ = generate_synthetic_scene(1, default_room_spec(1, density=281.0))
+        assert 5100 <= cloud.n <= 5300
+        table = build_index(cloud).knn_table(16)
+        rows = np.random.default_rng(7).choice(cloud.n, size=300, replace=False)
+        assert np.array_equal(table[rows], oracle_knn_table(cloud.positions, 16, rows))
+
+    def test_table_oracles_agree(self, rng):
+        cloud = random_cloud(rng, 120, dup_fraction=0.2)
+        expected = [oracle_knn(cloud.positions, q, 10) for q in range(cloud.n)]
+        assert oracle_knn_table(cloud.positions, 10).tolist() == expected
 
 
 class TestEstimateSurface:

@@ -24,7 +24,9 @@ from spseg import (
     train,
 )
 from spseg.scenes import Scene, SceneSet
-from spseg.trainer import ABLATION_VARIANTS, _make_batch, ablation_suite
+from spseg.scenes import NUM_SCENE_CLASSES, default_room_spec, generate_synthetic_scene
+from spseg.trainer import _TAG_EVAL, ABLATION_VARIANTS, _load_cache, _make_batch, ablation_suite
+from spseg.util import derive_seed
 
 CFG_MODEL = ModelConfig(width1=4, c_hidden=8, num_classes=2, ep_hidden=6)
 
@@ -105,6 +107,58 @@ class TestPrecompute:
         path.write_bytes(b"garbage")
         b = precompute_scene(scene.cloud, cfg)
         assert (a.merged.membership == b.merged.membership).all()
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "float_table",
+            "narrow_table",
+            "short_table",
+            "id_too_large",
+            "negative_id",
+            "self_not_first",
+            "short_geo",
+            "short_color",
+            "short_merged",
+            "short_edges",
+        ],
+    )
+    def test_invalid_cache_entry_recomputed(self, tmp_path, kind):
+        scene = toy_scene(0, 5)
+        cfg = toy_config(cache_dir=str(tmp_path))
+        a = precompute_scene(scene.cloud, cfg)
+        path = tmp_path / f"scene_{a.key}.npz"
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        knn = arrays["knn"].copy()
+        if kind == "float_table":
+            arrays["knn"] = knn.astype(np.float64)
+        elif kind == "narrow_table":
+            arrays["knn"] = knn[:, :-1]
+        elif kind == "short_table":
+            arrays["knn"] = knn[:-1]
+        elif kind == "id_too_large":
+            knn[7, 2] = scene.cloud.n
+            arrays["knn"] = knn
+        elif kind == "negative_id":
+            knn[7, 2] = -1
+            arrays["knn"] = knn
+        elif kind == "self_not_first":
+            knn[7, [0, 1]] = knn[7, [1, 0]]
+            arrays["knn"] = knn
+        else:
+            name = kind.removeprefix("short_")
+            arrays[name] = arrays[name][:-1]
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert _load_cache(str(tmp_path), a.key, scene.cloud.n, cfg.k_table) is None
+        b = precompute_scene(scene.cloud, cfg)
+        assert b.knn.dtype == a.knn.dtype and (a.knn == b.knn).all()
+        for name in ("geo", "color", "merged"):
+            assert (getattr(a, name).membership == getattr(b, name).membership).all()
+        assert (a.edges.is_edge == b.edges.is_edge).all()
+        # The recompute replaced the entry with a valid one.
+        assert _load_cache(str(tmp_path), a.key, scene.cloud.n, cfg.k_table) is not None
 
     def test_cache_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPSEG_CACHE_DIR", str(tmp_path))
@@ -291,6 +345,31 @@ class TestEvaluate:
         cfg = toy_config()
         with pytest.raises(ValidationError):
             evaluate(init_params(CFG_MODEL, 0), [], {}, cfg)
+
+    def test_unlabeled_truth_points_left_out(self):
+        cloud, labels = generate_synthetic_scene(5, default_room_spec(5, density=300.0))
+        truth = labels.class_of.copy()
+        truth[np.random.default_rng(0).choice(cloud.n, size=10, replace=False)] = -1
+        scene = Scene(scene_id=0, cloud=cloud, labels=LabelSet.full(truth, NUM_SCENE_CLASSES))
+        model = dataclasses.replace(CFG_MODEL, num_classes=NUM_SCENE_CLASSES)
+        cfg = toy_config(model=model)
+        params = init_params(model, 1)
+        caches = {0: precompute_scene(cloud, cfg)}
+        got = evaluate(params, [scene], caches, cfg)
+        pred = predict_pseudo_labels(params, scene, caches[0], cfg, seed=derive_seed(cfg.seed, _TAG_EVAL, 0))
+        keep = truth >= 0
+        conf = np.zeros((NUM_SCENE_CLASSES, NUM_SCENE_CLASSES), dtype=np.int64)
+        np.add.at(conf, (truth[keep], pred.class_of[keep]), 1)
+        assert conf.sum() == cloud.n - 10
+        assert got.miou == metrics_from_confusion(conf).miou
+
+    def test_no_labeled_truth_is_empty_confusion(self):
+        scene = toy_scene(0, 13)
+        unlabeled = Scene(scene_id=0, cloud=scene.cloud, labels=LabelSet.empty(scene.cloud.n, 2))
+        cfg = toy_config()
+        caches = {0: precompute_scene(scene.cloud, cfg)}
+        with pytest.raises(ValidationError, match="empty confusion matrix"):
+            evaluate(init_params(CFG_MODEL, 0), [unlabeled], caches, cfg)
 
     def test_trained_model_beats_chance_on_toy(self):
         scenes = toy_scene_set()
