@@ -1,8 +1,11 @@
 """Command-line entry point.
 
 Subcommands: synth, superpoints, edges, optimize-labels, train, eval,
-ablate, export-ply, sweep-tplo. Exit codes: 0 success, 1 usage error,
-2 data error, 3 numerical failure.
+ablate, export-ply, sweep-tplo. Every per-scene product (superpoints, edge
+flags, the edge PLY) comes from `precompute_scene`, so all commands share
+its disk cache. Every output file is written atomically. Exit codes:
+0 success, 1 usage error, 2 data error (including a malformed manifest or
+partition), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,12 +19,10 @@ import sys
 import numpy as np
 
 from . import io as sio
-from .cloud import build_index, estimate_surface
 from .errors import ParseError, TrainingDiverged, ValidationError
-from .labels import LabelSet, compute_edge_labels, optimize_pseudo_labels
+from .labels import LabelSet, optimize_pseudo_labels
 from .network import load_params, save_params
 from .scenes import NUM_SCENE_CLASSES, Scene, SceneSet, make_scene_set
-from .superpoints import grow_color, grow_geometric, merge_partitions
 from .trainer import (
     TrainConfig,
     ablation_suite,
@@ -31,6 +32,7 @@ from .trainer import (
     predict_pseudo_labels,
     train,
 )
+from .util import atomic_write
 
 T_PLO_SWEEP = (0.70, 0.75, 0.80, 0.85, 0.90)
 
@@ -137,24 +139,42 @@ def _load_scene_set(run: sio.RunConfig) -> SceneSet:
     return _read_scene_dir(scene_dir)
 
 
+def _required(doc, key: str, where: str, kind=object):
+    if not isinstance(doc, dict) or key not in doc:
+        raise ParseError(f"{where}: missing key {key!r}")
+    if not isinstance(doc[key], kind):
+        raise ParseError(f"{where}: {key!r} must be a {kind.__name__}")
+    return doc[key]
+
+
+def _required_int(doc, key: str, where: str) -> int:
+    try:
+        return int(_required(doc, key, where))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {key!r} is not an integer") from exc
+
+
 def _read_scene_dir(scene_dir: str) -> SceneSet:
     manifest_path = os.path.join(scene_dir, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    if manifest.get("version") != 1:
+    if _required(manifest, "version", manifest_path) != 1:
         raise ParseError(f"{manifest_path}: unsupported manifest version")
-    num_classes = int(manifest["num_classes"])
+    num_classes = _required_int(manifest, "num_classes", manifest_path)
     splits = {"labeled": [], "unlabeled": [], "eval": []}
-    for entry in manifest["scenes"]:
-        cloud, labels = sio.read_cloud(os.path.join(scene_dir, entry["file"]))
-        split = entry["split"]
+    for i, entry in enumerate(_required(manifest, "scenes", manifest_path, list)):
+        where = f"{manifest_path}: scenes[{i}]"
+        fname = _required(entry, "file", where, str)
+        scene_id = _required_int(entry, "id", where)
+        split = _required(entry, "split", where, str)
         if split not in splits:
             raise ParseError(f"{manifest_path}: unknown split {split!r}")
+        cloud, labels = sio.read_cloud(os.path.join(scene_dir, fname))
         if labels is not None:
             labels = LabelSet(class_of=labels.class_of, num_classes=num_classes, mask=labels.mask)
         if split == "unlabeled":
             labels = None
-        splits[split].append(Scene(scene_id=int(entry["id"]), cloud=cloud, labels=labels))
+        splits[split].append(Scene(scene_id=scene_id, cloud=cloud, labels=labels))
     return SceneSet(
         labeled=splits["labeled"], unlabeled=splits["unlabeled"], eval=splits["eval"],
         num_classes=num_classes,
@@ -170,8 +190,7 @@ def _write_scene_dir(out_dir: str, scenes: SceneSet):
             sio.write_cloud(os.path.join(out_dir, fname), s.cloud, s.labels)
             entries.append({"id": s.scene_id, "file": fname, "split": split})
     manifest = {"version": 1, "num_classes": scenes.num_classes, "scenes": entries}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1)
+    atomic_write(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=1))
 
 
 def _metrics_csv(rows: list) -> str:
@@ -196,14 +215,15 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_superpoints(args) -> int:
-    cfg = _scene_config(args.config)
+def _scene_cache(args):
+    """Read --in and run the per-scene pipeline (cached) under --config."""
     cloud, _ = sio.read_cloud(args.infile)
-    index = build_index(cloud)
-    surf = estimate_surface(cloud, index, cfg.k_normal)
-    geo = grow_geometric(cloud, surf, index, cfg.growing)
-    color = grow_color(cloud, index, cfg.growing)
-    merged = merge_partitions(geo, color)
+    return cloud, precompute_scene(cloud, _scene_config(args.config))
+
+
+def _cmd_superpoints(args) -> int:
+    cloud, cache = _scene_cache(args)
+    merged = cache.merged
     sio.write_partition(args.out, merged)
     if args.ply:
         sio.write_ply(args.ply, cloud, sio.color_by_partition(merged))
@@ -212,13 +232,8 @@ def _cmd_superpoints(args) -> int:
 
 
 def _cmd_edges(args) -> int:
-    cfg = _scene_config(args.config)
-    cloud, _ = sio.read_cloud(args.infile)
-    index = build_index(cloud)
-    surf = estimate_surface(cloud, index, cfg.k_normal)
-    geo = grow_geometric(cloud, surf, index, cfg.growing)
-    color = grow_color(cloud, index, cfg.growing)
-    edges = compute_edge_labels(geo, color, index, cfg.k_edge)
+    cloud, cache = _scene_cache(args)
+    edges = cache.edges
     sio.write_label_file(args.out, edges.is_edge.astype(np.int64))
     if args.ply:
         sio.write_ply(args.ply, cloud, sio.color_by_edges(edges))
@@ -249,12 +264,10 @@ def _cmd_train(args) -> int:
     result = train(cfg, scenes, caches)
     metrics = evaluate(result.params, scenes.eval, caches, cfg)
     save_params(result.params, os.path.join(args.out_dir, "params.json"))
-    with open(os.path.join(args.out_dir, "train_log.jsonl"), "w") as fh:
-        for entry in result.log:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    atomic_write(os.path.join(args.out_dir, "train_log.jsonl"),
+                 "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in result.log))
     rows = [("final", metrics)]
-    with open(os.path.join(args.out_dir, "metrics.csv"), "w") as fh:
-        fh.write(_metrics_csv(rows))
+    atomic_write(os.path.join(args.out_dir, "metrics.csv"), _metrics_csv(rows))
     sys.stdout.write(_metrics_text(rows))
     return 0
 
@@ -266,8 +279,7 @@ def _cmd_eval(args) -> int:
     caches = precompute_scenes(scenes.eval, cfg, threads=args.threads)
     metrics = evaluate(params, scenes.eval, caches, cfg)
     rows = [("eval", metrics)]
-    with open(args.out, "w") as fh:
-        fh.write(_metrics_csv(rows))
+    atomic_write(args.out, _metrics_csv(rows))
     sys.stdout.write(_metrics_text(rows))
     return 0
 
@@ -278,11 +290,9 @@ def _cmd_ablate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     caches = precompute_scenes(scenes.all_scenes(), cfg, threads=args.threads)
     rows = [(row.name, row.metrics) for row in ablation_suite(cfg, scenes, caches)]
-    with open(os.path.join(args.out_dir, "ablation.csv"), "w") as fh:
-        fh.write(_metrics_csv(rows))
+    atomic_write(os.path.join(args.out_dir, "ablation.csv"), _metrics_csv(rows))
     text = _metrics_text(rows)
-    with open(os.path.join(args.out_dir, "ablation.txt"), "w") as fh:
-        fh.write(text)
+    atomic_write(os.path.join(args.out_dir, "ablation.txt"), text)
     sys.stdout.write(text)
     return 0
 
@@ -296,8 +306,7 @@ def _cmd_sweep_tplo(args) -> int:
         variant = dataclasses.replace(cfg, t_plo=t)
         result = train(variant, scenes, caches)
         rows.append((f"{t:.2f}", evaluate(result.params, scenes.eval, caches, variant)))
-    with open(args.out, "w") as fh:
-        fh.write(_metrics_csv(rows).replace("name,", "t_plo,", 1))
+    atomic_write(args.out, _metrics_csv(rows).replace("name,", "t_plo,", 1))
     sys.stdout.write(_metrics_text(rows))
     return 0
 
@@ -316,12 +325,7 @@ def _cmd_export_ply(args) -> int:
             raise ParseError("--mode label needs labels in the cloud file or --labels")
         rgb = sio.color_by_labels(labels)
     elif args.mode == "edge":
-        cfg = _scene_config(args.config)
-        index = build_index(cloud)
-        surf = estimate_surface(cloud, index, cfg.k_normal)
-        geo = grow_geometric(cloud, surf, index, cfg.growing)
-        color = grow_color(cloud, index, cfg.growing)
-        rgb = sio.color_by_edges(compute_edge_labels(geo, color, index, cfg.k_edge))
+        rgb = sio.color_by_edges(precompute_scene(cloud, _scene_config(args.config)).edges)
     else:  # prediction
         if not args.params:
             raise ParseError("--mode prediction needs --params")

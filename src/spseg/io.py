@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
-import tempfile
 
 import numpy as np
 
@@ -19,19 +17,7 @@ from .labels import EdgeLabels, LabelSet
 from .network import ModelConfig
 from .superpoints import GrowingConfig, SuperpointPartition, from_membership
 from .trainer import TrainConfig
-
-
-def _atomic_write(path: str, text: str):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+from .util import atomic_write
 
 
 def read_cloud(path: str):
@@ -92,7 +78,7 @@ def write_cloud(path: str, cloud: PointCloud, labels: LabelSet | None = None):
         if labels is not None:
             row += f" {int(labels.class_of[i])}"
         lines.append(row)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _hash_rgb(gid: int) -> tuple:
@@ -148,7 +134,7 @@ def write_ply(path: str, cloud: PointCloud, rgb: np.ndarray):
         f"{p[0]:.6f} {p[1]:.6f} {p[2]:.6f} {c[0]} {c[1]} {c[2]}"
         for p, c in zip(cloud.positions, rgb)
     ]
-    _atomic_write(path, "\n".join(header + body) + "\n")
+    atomic_write(path, "\n".join(header + body) + "\n")
 
 
 def partition_to_json(sp: SuperpointPartition) -> str:
@@ -162,17 +148,47 @@ def partition_to_json(sp: SuperpointPartition) -> str:
 
 
 def write_partition(path: str, sp: SuperpointPartition):
-    _atomic_write(path, partition_to_json(sp) + "\n")
+    atomic_write(path, partition_to_json(sp) + "\n")
+
+
+def _point_ids(path: str, value, what: str, n: int) -> np.ndarray:
+    ids = np.asarray(value)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ParseError(f"{path}: {what} must be a list of integer point ids")
+    ids = ids.astype(np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ParseError(f"{path}: {what} has a point id outside [0, {n})")
+    return ids
 
 
 def read_partition(path: str) -> SuperpointPartition:
+    """Parse partition JSON. Every point must lie in exactly one group or in
+    `unclustered`; anything else is a ParseError."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: not a partition document")
     if doc.get("version") != 1:
         raise ParseError(f"{path}: unsupported partition version {doc.get('version')}")
-    mem = np.full(int(doc["num_points"]), -1, dtype=np.int64)
+    for key in ("num_points", "groups", "unclustered"):
+        if key not in doc:
+            raise ParseError(f"{path}: missing key {key!r}")
+    n = doc["num_points"]
+    if not isinstance(n, int) or n < 0:
+        raise ParseError(f"{path}: num_points must be a non-negative integer")
+    if not isinstance(doc["groups"], list):
+        raise ParseError(f"{path}: groups must be a list")
+    mem = np.full(n, -1, dtype=np.int64)
     for gid, members in enumerate(doc["groups"]):
-        mem[np.array(members, dtype=np.int64)] = gid
+        ids = _point_ids(path, members, f"group {gid}", n)
+        if ids.size == 0:
+            raise ParseError(f"{path}: group {gid} is empty")
+        if (mem[ids] >= 0).any() or np.unique(ids).size != ids.size:
+            raise ParseError(f"{path}: group {gid} repeats a point listed before")
+        mem[ids] = gid
+    unclustered = _point_ids(path, doc["unclustered"], "unclustered", n)
+    if not np.array_equal(np.sort(unclustered), np.nonzero(mem < 0)[0]):
+        raise ParseError(f"{path}: unclustered does not list exactly the points outside every group")
     return from_membership(mem)
 
 
@@ -194,7 +210,7 @@ def read_label_file(path: str) -> np.ndarray:
 
 
 def write_label_file(path: str, class_of: np.ndarray):
-    _atomic_write(path, "\n".join(str(int(c)) for c in class_of) + "\n")
+    atomic_write(path, "\n".join(str(int(c)) for c in class_of) + "\n")
 
 
 def _from_section(cls, doc: dict, section: str):

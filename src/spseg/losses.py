@@ -29,7 +29,10 @@ class LossTerm:
         return self.count == 0
 
 
-def _masked_cross_entropy(x: np.ndarray, labels: LabelSet) -> LossTerm:
+def cross_entropy_loss(x: np.ndarray, labels: LabelSet) -> LossTerm:
+    """Softmax cross entropy summed over mask-true points. On the unlabeled
+    branch the mask marks the points that kept an optimized pseudo label, so
+    the mask does the weighting."""
     if x.shape[0] != labels.n:
         raise ValidationError("logits and labels cover different point counts")
     if x.shape[1] != labels.num_classes:
@@ -49,15 +52,8 @@ def _masked_cross_entropy(x: np.ndarray, labels: LabelSet) -> LossTerm:
     return LossTerm(value=value, grad=grad, count=int(rows.size))
 
 
-def cross_entropy_loss(x: np.ndarray, labels: LabelSet) -> LossTerm:
-    """Softmax cross entropy summed over mask-true points (labeled branch)."""
-    return _masked_cross_entropy(x, labels)
-
-
-def weighted_cross_entropy_loss(x: np.ndarray, optimized: LabelSet) -> LossTerm:
-    """Cross entropy weighted by the per-point boolean of having an optimized
-    pseudo label; identical math, the mask does the weighting."""
-    return _masked_cross_entropy(x, optimized)
+# The old name of the unlabeled-branch loss; perfbench/ traces it by this name.
+weighted_cross_entropy_loss = cross_entropy_loss
 
 
 def edge_loss(e: np.ndarray, edges: EdgeLabels) -> LossTerm:
@@ -106,6 +102,9 @@ def consistency_loss(x: np.ndarray, sp: SuperpointPartition, k_samples: int, see
     return LossTerm(value=value, grad=grad, count=int(rows.size))
 
 
+_TERM_NAMES = ("seg_labeled", "seg_unlabeled", "edge_labeled", "edge_unlabeled", "sp_labeled", "sp_unlabeled")
+
+
 @dataclass
 class LossReport:
     """The six loss terms of one step and their unweighted sum."""
@@ -132,29 +131,20 @@ class LossReport:
         )
 
     def terms(self) -> dict:
-        return {
-            "seg_labeled": self.seg_labeled,
-            "seg_unlabeled": self.seg_unlabeled,
-            "edge_labeled": self.edge_labeled,
-            "edge_unlabeled": self.edge_unlabeled,
-            "sp_labeled": self.sp_labeled,
-            "sp_unlabeled": self.sp_unlabeled,
-        }
+        return {name: getattr(self, name) for name in _TERM_NAMES}
 
-    def to_json_line(self) -> str:
-        doc = dict(self.terms())
+    def to_dict(self) -> dict:
+        """The log fields of one step: the terms, their total, per-term point
+        counts and per-point means."""
+        doc = self.terms()
         doc["total"] = self.total
-        counts = {
-            "seg_labeled": self.count_seg_labeled,
-            "seg_unlabeled": self.count_seg_unlabeled,
-            "edge_labeled": self.count_edge_labeled,
-            "edge_unlabeled": self.count_edge_unlabeled,
-            "sp_labeled": self.count_sp_labeled,
-            "sp_unlabeled": self.count_sp_unlabeled,
-        }
+        counts = {name: getattr(self, f"count_{name}") for name in _TERM_NAMES}
         doc["counts"] = counts
         doc["means"] = {k: (doc[k] / c if c else 0.0) for k, c in counts.items()}
-        return json.dumps(doc, sort_keys=True)
+        return doc
+
+    def to_json_line(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def combine_losses(
@@ -165,17 +155,9 @@ def combine_losses(
     sp_labeled: LossTerm,
     sp_unlabeled: LossTerm,
 ) -> LossReport:
-    return LossReport(
-        seg_labeled=seg_labeled.value,
-        seg_unlabeled=seg_unlabeled.value,
-        edge_labeled=edge_labeled.value,
-        edge_unlabeled=edge_unlabeled.value,
-        sp_labeled=sp_labeled.value,
-        sp_unlabeled=sp_unlabeled.value,
-        count_seg_labeled=seg_labeled.count,
-        count_seg_unlabeled=seg_unlabeled.count,
-        count_edge_labeled=edge_labeled.count,
-        count_edge_unlabeled=edge_unlabeled.count,
-        count_sp_labeled=sp_labeled.count,
-        count_sp_unlabeled=sp_unlabeled.count,
-    )
+    terms = zip(_TERM_NAMES, (seg_labeled, seg_unlabeled, edge_labeled, edge_unlabeled, sp_labeled, sp_unlabeled))
+    fields = {}
+    for name, term in terms:
+        fields[name] = term.value
+        fields[f"count_{name}"] = term.count
+    return LossReport(**fields)

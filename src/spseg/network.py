@@ -24,6 +24,7 @@ import numpy as np
 from .cloud import PointCloud
 from .errors import ValidationError
 from .superpoints import SuperpointPartition, sample_group_indices
+from .util import atomic_write
 
 INPUT_DIM = 6
 LRELU_SLOPE = 0.01
@@ -120,15 +121,16 @@ def init_params(cfg: ModelConfig, seed: int) -> Params:
 
 @dataclass
 class ForwardRecord:
-    """Every intermediate needed to replay the chain rule backward."""
+    """The intermediates that backward replays the chain rule through. The
+    relu masks are read off h1 and f, since relu(z) > 0 exactly when z > 0.
+    The leaky relu keeps its input ze1: for a tiny negative z, 0.01 * z
+    rounds to -0.0, so lrelu(z) >= 0 holds where z >= 0 does not."""
 
     inp: np.ndarray
     nbrs: np.ndarray
-    z1: np.ndarray
     h1: np.ndarray
     m: np.ndarray
     cat: np.ndarray
-    z2: np.ndarray
     f: np.ndarray
     samples: np.ndarray | None
     clustered: np.ndarray | None
@@ -160,6 +162,40 @@ def network_input(cloud: PointCloud) -> np.ndarray:
     return np.concatenate([cloud.positions - cloud.positions.mean(axis=0), cloud.colors], axis=1)
 
 
+def _extract(cloud: PointCloud, nbrs: np.ndarray, params: Params):
+    """Extractor stages: (inp, h1, m, cat, f)."""
+    if nbrs.shape[0] != cloud.n:
+        raise ValidationError("neighbor table does not match cloud size")
+    if params.w1.shape[0] != INPUT_DIM:
+        raise ValidationError(f"w1 expects {params.w1.shape[0]} inputs, model takes {INPUT_DIM}")
+    inp = network_input(cloud)
+    h1 = _relu(inp @ params.w1 + params.b1)
+    m = h1[nbrs].mean(axis=1)
+    cat = np.concatenate([h1, m], axis=1)
+    f = _relu(cat @ params.w2 + params.b2)
+    return inp, h1, m, cat, f
+
+
+def _smooth(features: np.ndarray, sp: SuperpointPartition, k_smooth: int, seed: int):
+    """Superpoint smoothing: (samples, clustered, g)."""
+    if features.shape[0] != sp.n:
+        raise ValidationError("features do not match partition size")
+    samples = sample_group_indices(sp, k_smooth, seed)
+    clustered = sp.membership >= 0
+    g = np.array(features, dtype=np.float64, copy=True)
+    g[clustered] = (g[clustered] + features[samples[clustered]].sum(axis=1)) / 2.0
+    return samples, clustered, g
+
+
+def _edge(x: np.ndarray, params: Params):
+    """Edge head stages: (ze1, a1, e)."""
+    if x.shape[1] != params.we1.shape[0]:
+        raise ValidationError(f"edge head expects {params.we1.shape[0]} channels, got {x.shape[1]}")
+    ze1 = x @ params.we1 + params.be1
+    a1 = _lrelu(ze1)
+    return ze1, a1, _sigmoid(a1 @ params.we2 + params.be2)
+
+
 def forward(
     cloud: PointCloud,
     nbrs: np.ndarray,
@@ -169,43 +205,22 @@ def forward(
     seed: int = 0,
 ) -> ForwardRecord:
     """Run the full pipeline; pass sp=None to skip superpoint smoothing."""
-    inp = network_input(cloud)
-    if nbrs.shape[0] != cloud.n:
-        raise ValidationError("neighbor table does not match cloud size")
-    if params.w1.shape[0] != INPUT_DIM:
-        raise ValidationError(f"w1 expects {params.w1.shape[0]} inputs, model takes {INPUT_DIM}")
-    z1 = inp @ params.w1 + params.b1
-    h1 = _relu(z1)
-    m = h1[nbrs].mean(axis=1)
-    cat = np.concatenate([h1, m], axis=1)
-    z2 = cat @ params.w2 + params.b2
-    f = _relu(z2)
-
-    if sp is not None:
-        if sp.n != cloud.n:
-            raise ValidationError("partition does not match cloud size")
-        samples = sample_group_indices(sp, k_smooth, seed)
-        clustered = sp.membership >= 0
-        g = f.copy()
-        g[clustered] = (f[clustered] + f[samples[clustered]].sum(axis=1)) / 2.0
+    inp, h1, m, cat, f = _extract(cloud, nbrs, params)
+    if sp is None:
+        samples, clustered, g = None, None, f
     else:
-        samples = None
-        clustered = None
-        g = f
-
-    x = g @ params.wc + params.bc
-    ze1 = x @ params.we1 + params.be1
-    a1 = _lrelu(ze1)
-    e = _sigmoid(a1 @ params.we2 + params.be2)
+        samples, clustered, g = _smooth(f, sp, k_smooth, seed)
+    x = classify(g, params)
+    ze1, a1, e = _edge(x, params)
     return ForwardRecord(
-        inp=inp, nbrs=nbrs, z1=z1, h1=h1, m=m, cat=cat, z2=z2, f=f,
+        inp=inp, nbrs=nbrs, h1=h1, m=m, cat=cat, f=f,
         samples=samples, clustered=clustered, g=g, x=x, ze1=ze1, a1=a1, e=e,
     )
 
 
 def extract_features(cloud: PointCloud, nbrs: np.ndarray, params: Params) -> np.ndarray:
     """Extractor output only: centered-input affine, neighbor-mean concat, affine."""
-    return forward(cloud, nbrs, params, sp=None).f
+    return _extract(cloud, nbrs, params)[-1]
 
 
 def aggregate_superpoint_features(
@@ -217,13 +232,7 @@ def aggregate_superpoint_features(
     Note the 1/2 normalization is deliberate: for a group with constant
     feature v this scales it to v * (K + 1) / 2.
     """
-    if features.shape[0] != sp.n:
-        raise ValidationError("features do not match partition size")
-    samples = sample_group_indices(sp, k_smooth, seed)
-    clustered = sp.membership >= 0
-    g = np.array(features, dtype=np.float64, copy=True)
-    g[clustered] = (g[clustered] + features[samples[clustered]].sum(axis=1)) / 2.0
-    return g
+    return _smooth(features, sp, k_smooth, seed)[-1]
 
 
 def classify(features: np.ndarray, params: Params) -> np.ndarray:
@@ -234,9 +243,7 @@ def classify(features: np.ndarray, params: Params) -> np.ndarray:
 
 def edge_head(x: np.ndarray, params: Params) -> np.ndarray:
     """Two-channel edge score per point, strictly inside (0, 1)."""
-    if x.shape[1] != params.we1.shape[0]:
-        raise ValidationError(f"edge head expects {params.we1.shape[0]} channels, got {x.shape[1]}")
-    return _sigmoid(_lrelu(x @ params.we1 + params.be1) @ params.we2 + params.be2)
+    return _edge(x, params)[-1]
 
 
 def backward(
@@ -280,7 +287,7 @@ def backward(
             contrib = np.repeat(0.5 * dg[rows], k, axis=0)
             np.add.at(df, record.samples[rows].ravel(), contrib)
 
-    dz2 = df * (record.z2 > 0)
+    dz2 = df * (record.f > 0)
     g.w2 += record.cat.T @ dz2
     g.b2 += dz2.sum(axis=0)
     dcat = dz2 @ params.w2.T
@@ -289,7 +296,7 @@ def backward(
     dm = dcat[:, w1_out:]
     k_feat = record.nbrs.shape[1]
     np.add.at(dh1, record.nbrs.ravel(), np.repeat(dm / k_feat, k_feat, axis=0))
-    dz1 = dh1 * (record.z1 > 0)
+    dz1 = dh1 * (record.h1 > 0)
     g.w1 += record.inp.T @ dz1
     g.b1 += dz1.sum(axis=0)
     return g
@@ -304,8 +311,7 @@ def save_params(params: Params, path: str):
             for name, a in params.arrays()
         },
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    atomic_write(path, json.dumps(doc))
 
 
 def load_params(path: str) -> Params:

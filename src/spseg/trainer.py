@@ -1,9 +1,10 @@
 """Two-branch semi-supervised training loop, metrics, and the ablation harness.
 
-Phase 1 (epochs 1..epochs_labeled_only) optimizes the labeled branch only.
-From the first epoch after that, pseudo labels are re-predicted for every
-unlabeled scene once per epoch, cleaned up per superpoint, and the unlabeled
-branch joins the optimization. Each step pairs one labeled chunk with one
+Phase 1 (epochs 1..epochs_labeled_only) runs and optimizes the labeled branch
+only; its log entries carry zero unlabeled terms over zero points. From the
+first epoch after that, pseudo labels are re-predicted for every unlabeled
+scene once per epoch, cleaned up per superpoint, and the unlabeled branch
+joins the optimization. Each phase-2 step pairs one labeled chunk with one
 unlabeled chunk and takes a single Adam step on the summed gradients.
 
 Everything is driven by integer seeds; two runs with the same config produce
@@ -13,9 +14,9 @@ bit-identical parameters, logs, and metrics.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -31,7 +32,7 @@ from .losses import (
     consistency_loss,
     cross_entropy_loss,
     edge_loss,
-    weighted_cross_entropy_loss,
+    weighted_cross_entropy_loss,  # noqa: F401  (traced by name in perfbench/)
 )
 from .network import ModelConfig, Params, backward, forward, init_params
 from .optim import Adam
@@ -45,7 +46,7 @@ from .superpoints import (
     merge_partitions,
     restrict_partition,
 )
-from .util import derive_seed
+from .util import atomic_write, derive_seed
 
 CACHE_ENV_VAR = "SPSEG_CACHE_DIR"
 _CACHE_VERSION = 1
@@ -146,25 +147,18 @@ def _cache_path(cache_dir: str, key: str) -> str:
 
 def _save_cache(cache_dir: str, cache: SceneCache):
     os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(cache_dir, cache.key)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(
-                fh,
-                knn=cache.knn,
-                normals=cache.normals,
-                curvatures=cache.curvatures,
-                geo=cache.geo.membership,
-                color=cache.color.membership,
-                merged=cache.merged.membership,
-                edges=cache.edges.is_edge,
-            )
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    buf = io.BytesIO()
+    np.savez(
+        buf,
+        knn=cache.knn,
+        normals=cache.normals,
+        curvatures=cache.curvatures,
+        geo=cache.geo.membership,
+        color=cache.color.membership,
+        merged=cache.merged.membership,
+        edges=cache.edges.is_edge,
+    )
+    atomic_write(_cache_path(cache_dir, cache.key), buf.getvalue())
 
 
 def _entry_valid(arrays: dict, n: int, k: int) -> bool:
@@ -363,8 +357,36 @@ class TrainResult:
     config: TrainConfig
 
 
-def _zero_term(like: np.ndarray) -> LossTerm:
-    return LossTerm(value=0.0, grad=np.zeros_like(like), count=0)
+# A term that is not computed: 0 over 0 points, with a zero gradient that
+# broadcasts against any output.
+_ZERO_TERM = LossTerm(value=0.0, grad=np.zeros(()), count=0)
+
+
+def _branch_step(params: Params, config: TrainConfig, scene: Scene, cache: SceneCache,
+                 labels: LabelSet | None, branch: int, epoch: int, step: int) -> tuple:
+    """One branch's chunk, forward pass, three loss terms and backward pass.
+    Returns (seg, edge, consistency) terms and the gradient vector; branch 0
+    is the labeled branch, 1 the unlabeled one, and it tags every seed."""
+    batch = _make_batch(scene, cache, labels, config, derive_seed(config.seed, _TAG_CHUNK, epoch, step, branch))
+    rec = forward(
+        batch.cloud, batch.nbrs, params,
+        sp=batch.sp if config.use_smoothing else None,
+        k_smooth=config.k_smooth,
+        seed=derive_seed(config.seed, _TAG_SMOOTH, epoch, step, branch),
+    )
+    seg = cross_entropy_loss(rec.x, batch.labels)
+    edge = edge_loss(rec.e, batch.edges) if config.use_edge_head else _ZERO_TERM
+    sp = (
+        consistency_loss(rec.x, batch.sp, config.k_smooth,
+                         derive_seed(config.seed, _TAG_CONSISTENCY, epoch, step, branch))
+        if config.use_consistency
+        else _ZERO_TERM
+    )
+    grads = backward(
+        rec, params, d_x=seg.grad + sp.grad,
+        d_e=edge.grad if config.use_edge_head else None,
+    )
+    return seg, edge, sp, grads.to_vector()
 
 
 def _check_finite(report: LossReport, epoch: int, step: int):
@@ -425,72 +447,24 @@ def train(config: TrainConfig, scenes: SceneSet, caches: dict | None = None) -> 
         for step in range(steps_per_epoch):
             tick = (epoch - 1) * steps_per_epoch + step
             scene_l = scenes.labeled[tick % len(scenes.labeled)]
-            batch_l = _make_batch(
-                scene_l, caches[scene_l.scene_id], scene_l.labels, config,
-                derive_seed(config.seed, _TAG_CHUNK, epoch, step, 0),
+            seg_l, edge_l, sp_l, grad_vec = _branch_step(
+                params, config, scene_l, caches[scene_l.scene_id], scene_l.labels, 0, epoch, step
             )
-            rec_l = forward(
-                batch_l.cloud, batch_l.nbrs, params,
-                sp=batch_l.sp if config.use_smoothing else None,
-                k_smooth=config.k_smooth,
-                seed=derive_seed(config.seed, _TAG_SMOOTH, epoch, step, 0),
-            )
-            seg_l = cross_entropy_loss(rec_l.x, batch_l.labels)
-            edge_l = edge_loss(rec_l.e, batch_l.edges) if config.use_edge_head else _zero_term(rec_l.e)
-            sp_l = (
-                consistency_loss(rec_l.x, batch_l.sp, config.k_smooth,
-                                 derive_seed(config.seed, _TAG_CONSISTENCY, epoch, step, 0))
-                if config.use_consistency
-                else _zero_term(rec_l.x)
-            )
-            grads = backward(
-                rec_l, params, d_x=seg_l.grad + sp_l.grad,
-                d_e=edge_l.grad if config.use_edge_head else None,
-            )
-            grad_vec = grads.to_vector()
-
-            seg_u = edge_u = sp_u = None
-            if use_unlabeled:
+            seg_u = edge_u = sp_u = _ZERO_TERM
+            if phase2:
                 scene_u = scenes.unlabeled[tick % len(scenes.unlabeled)]
-                batch_u = _make_batch(
-                    scene_u, caches[scene_u.scene_id], pseudo[scene_u.scene_id], config,
-                    derive_seed(config.seed, _TAG_CHUNK, epoch, step, 1),
+                seg_u, edge_u, sp_u, grad_u = _branch_step(
+                    params, config, scene_u, caches[scene_u.scene_id], pseudo[scene_u.scene_id], 1, epoch, step
                 )
-                rec_u = forward(
-                    batch_u.cloud, batch_u.nbrs, params,
-                    sp=batch_u.sp if config.use_smoothing else None,
-                    k_smooth=config.k_smooth,
-                    seed=derive_seed(config.seed, _TAG_SMOOTH, epoch, step, 1),
-                )
-                seg_u = weighted_cross_entropy_loss(rec_u.x, batch_u.labels)
-                edge_u = edge_loss(rec_u.e, batch_u.edges) if config.use_edge_head else _zero_term(rec_u.e)
-                sp_u = (
-                    consistency_loss(rec_u.x, batch_u.sp, config.k_smooth,
-                                     derive_seed(config.seed, _TAG_CONSISTENCY, epoch, step, 1))
-                    if config.use_consistency
-                    else _zero_term(rec_u.x)
-                )
-                if phase2:
-                    grads_u = backward(
-                        rec_u, params, d_x=seg_u.grad + sp_u.grad,
-                        d_e=edge_u.grad if config.use_edge_head else None,
-                    )
-                    grad_vec = grad_vec + grads_u.to_vector()
+                grad_vec = grad_vec + grad_u
 
-            report = combine_losses(
-                seg_l,
-                seg_u if seg_u is not None else _zero_term(rec_l.x),
-                edge_l,
-                edge_u if edge_u is not None else _zero_term(rec_l.e),
-                sp_l,
-                sp_u if sp_u is not None else _zero_term(rec_l.x),
-            )
+            report = combine_losses(seg_l, seg_u, edge_l, edge_u, sp_l, sp_u)
             _check_finite(report, epoch, step)
             vec = adam.step(vec, grad_vec, lr=lr_epoch)
             params = params.from_vector(vec)
 
             entry = {"epoch": epoch, "step": step, "lr": lr_epoch, "phase": 2 if phase2 else 1}
-            entry.update(json.loads(report.to_json_line()))
+            entry.update(report.to_dict())
             log.append(entry)
 
         if config.eval_every and scenes.eval and epoch % config.eval_every == 0:
@@ -519,7 +493,7 @@ class AblationRow:
     metrics: MetricsReport
 
 
-def ablation_suite(config: TrainConfig, scenes: SceneSet, caches: dict | None = None, threads: int = 1) -> list:
+def ablation_suite(config: TrainConfig, scenes: SceneSet, caches: dict | None = None) -> list:
     """Train the six stacked variants under identical seeds and evaluate each
     on the held-out scenes."""
     caches = dict(caches) if caches else {}

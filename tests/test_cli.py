@@ -211,3 +211,51 @@ class TestExitCodes:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["train", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["optimize-labels", "export-ply"])
+    def test_inconsistent_partition_is_data_error(self, workspace, tmp_path, capsys, command):
+        cloud, _ = read_cloud(workspace["scene_file"])
+        bad = tmp_path / "sp.json"
+        bad.write_text(json.dumps({"version": 1, "num_points": cloud.n,
+                                   "groups": [[0, cloud.n]], "unclustered": list(range(1, cloud.n))}))
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0\n" * cloud.n)
+        out = str(tmp_path / "out")
+        argv = {
+            "optimize-labels": ["optimize-labels", "--in", workspace["scene_file"], "--partition", str(bad),
+                                "--labels", str(labels), "--out", out],
+            "export-ply": ["export-ply", "--in", workspace["scene_file"], "--mode", "superpoint",
+                           "--partition", str(bad), "--out", out],
+        }[command]
+        assert main(argv) == 2
+        assert "outside" in capsys.readouterr().err
+
+    @staticmethod
+    def train_on_manifest(tmp_path, manifest) -> int:
+        scene_dir = tmp_path / "scenes"
+        scene_dir.mkdir()
+        (scene_dir / "manifest.json").write_text(json.dumps(manifest))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {"scene_dir": str(scene_dir)}}))
+        return main(["train", "--config", str(config), "--out-dir", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("key", ["num_classes", "scenes", "file", "id", "split"])
+    def test_manifest_missing_key_is_data_error(self, workspace, tmp_path, capsys, key):
+        entry = {"id": 0, "file": workspace["scene_file"], "split": "labeled"}
+        manifest = {"version": 1, "num_classes": 5, "scenes": [entry]}
+        if key in entry:
+            del entry[key]
+        else:
+            del manifest[key]
+        assert self.train_on_manifest(tmp_path, manifest) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("num_classes", "five"), ("id", "zero"), ("scenes", 3), ("file", 3), ("split", ["labeled"]),
+    ])
+    def test_manifest_wrong_type_is_data_error(self, workspace, tmp_path, capsys, key, value):
+        entry = {"id": 0, "file": workspace["scene_file"], "split": "labeled"}
+        manifest = {"version": 1, "num_classes": 5, "scenes": [entry]}
+        (manifest if key in manifest else entry)[key] = value
+        assert self.train_on_manifest(tmp_path, manifest) == 2
+        assert repr(key) in capsys.readouterr().err

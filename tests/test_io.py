@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from spseg.io import (
     write_ply,
 )
 from spseg.labels import EdgeLabels
+from spseg.network import ModelConfig, init_params, load_params, save_params
+from spseg.util import atomic_write
 
 
 def parse_ply_independently(path):
@@ -170,6 +173,27 @@ class TestPartitionJson:
         back = read_partition(path)
         assert (back.membership == sp.membership).all()
 
+    @pytest.mark.parametrize("groups, unclustered", [
+        pytest.param([[0, 1], [2, -1]], [3], id="negative_id"),
+        pytest.param([[0, 1], [2, 4]], [3], id="id_past_end"),
+        pytest.param([[0, 1], [1, 2]], [3], id="point_in_two_groups"),
+        pytest.param([[0, 1], [2, 2]], [3], id="point_twice_in_a_group"),
+        pytest.param([[0, 1], [2]], [], id="unclustered_misses_a_point"),
+        pytest.param([[0, 1], [2]], [2, 3], id="unclustered_overlaps_a_group"),
+        pytest.param([[0, 1], []], [2, 3], id="empty_group"),
+    ])
+    def test_inconsistent_partition_rejected(self, tmp_path, groups, unclustered):
+        path = tmp_path / "sp.json"
+        path.write_text(json.dumps({"version": 1, "num_points": 4, "groups": groups, "unclustered": unclustered}))
+        with pytest.raises(ParseError):
+            read_partition(str(path))
+
+    def test_missing_unclustered_rejected(self, tmp_path):
+        path = tmp_path / "sp.json"
+        path.write_text(json.dumps({"version": 1, "num_points": 2, "groups": [[0, 1]]}))
+        with pytest.raises(ParseError, match="unclustered"):
+            read_partition(str(path))
+
 
 class TestLabelFile:
     def test_round_trip(self, tmp_path):
@@ -224,3 +248,35 @@ class TestRunConfig:
         p.write_text("{not json")
         with pytest.raises(ParseError):
             load_run_config(str(p))
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = str(tmp_path / "out.txt")
+        atomic_write(path, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write(path, "new \ud800\n")  # a lone surrogate cannot be encoded
+        assert open(path).read() == "old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_failed_rename_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "params.json")
+        old = init_params(ModelConfig(), seed=1)
+        save_params(old, path)
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            save_params(init_params(ModelConfig(), seed=2), path)
+        monkeypatch.undo()
+        assert (load_params(path).to_vector() == old.to_vector()).all()
+        assert os.listdir(tmp_path) == ["params.json"]
+
+    def test_mode_matches_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w") as fh:
+            fh.write("x")
+        atomic_write(str(tmp_path / "atomic.txt"), "x")
+        assert os.stat(tmp_path / "atomic.txt").st_mode == os.stat(plain).st_mode

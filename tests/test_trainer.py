@@ -297,6 +297,28 @@ class TestTrain:
             if e.get("phase") == 1 and "step" in e:
                 assert e["seg_unlabeled"] == 0.0
 
+    def test_phase_one_skips_unlabeled_branch(self, monkeypatch):
+        # With phase-1 epochs only, unlabeled scenes change neither the
+        # parameters nor the log, and each step runs one forward pass.
+        import spseg.trainer as trainer_module
+
+        cfg = toy_config(epochs_total=3, epochs_labeled_only=3)
+        scenes = toy_scene_set()
+        labeled_only = SceneSet(labeled=scenes.labeled, unlabeled=[], eval=scenes.eval, num_classes=2)
+        calls = []
+        original = trainer_module.forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "forward", counted)
+        a = train(cfg, scenes)
+        assert len(calls) == len([e for e in a.log if "step" in e]) == 3 * cfg.steps_per_epoch
+        b = train(cfg, labeled_only)
+        assert (a.params.to_vector() == b.params.to_vector()).all()
+        assert a.log == b.log
+
     def test_chunked_scenes_train(self):
         scenes = toy_scene_set()
         cfg = toy_config(chunk_size=100)
