@@ -17,12 +17,13 @@ against central finite differences.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .superpoints import SuperpointPartition, sample_group_indices
 from .util import atomic_write
 
@@ -97,26 +98,24 @@ class Params:
                 raise ValidationError(f"parameter {name} contains non-finite values")
 
 
+def _param_shapes(cfg: ModelConfig) -> dict:
+    """Shape of every parameter array under cfg, in Params field order."""
+    w1, ch, c, e = cfg.width1, cfg.c_hidden, cfg.num_classes, cfg.ep_hidden
+    return dict(w1=(INPUT_DIM, w1), b1=(w1,), w2=(2 * w1, ch), b2=(ch,), wc=(ch, c), bc=(c,),
+                we1=(c, e), be1=(e,), we2=(e, 2), be2=(2,))
+
+
 def init_params(cfg: ModelConfig, seed: int) -> Params:
     """Glorot-uniform weights (±sqrt(6/(fan_in+fan_out))), zero biases."""
     rng = np.random.default_rng(seed)
 
-    def glorot(fan_in, fan_out):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    def init(shape):
+        if len(shape) == 1:
+            return np.zeros(shape)
+        bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+        return rng.uniform(-bound, bound, size=shape)
 
-    return Params(
-        w1=glorot(INPUT_DIM, cfg.width1),
-        b1=np.zeros(cfg.width1),
-        w2=glorot(2 * cfg.width1, cfg.c_hidden),
-        b2=np.zeros(cfg.c_hidden),
-        wc=glorot(cfg.c_hidden, cfg.num_classes),
-        bc=np.zeros(cfg.num_classes),
-        we1=glorot(cfg.num_classes, cfg.ep_hidden),
-        be1=np.zeros(cfg.ep_hidden),
-        we2=glorot(cfg.ep_hidden, 2),
-        be2=np.zeros(2),
-    )
+    return Params(**{name: init(shape) for name, shape in _param_shapes(cfg).items()})
 
 
 @dataclass
@@ -314,19 +313,41 @@ def save_params(params: Params, path: str):
     atomic_write(path, json.dumps(doc))
 
 
+def _read_array(path: str, name: str, entry) -> np.ndarray:
+    shape = entry.get("shape") if isinstance(entry, dict) else None
+    data = entry.get("data") if isinstance(entry, dict) else None
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise ParseError(f"{path}: array {name!r} needs a 'shape' list of non-negative integers")
+    if not isinstance(data, list) or not all(type(v) in (int, float) for v in data):
+        raise ParseError(f"{path}: array {name!r} needs a 'data' list of numbers")
+    if len(data) != math.prod(shape):
+        raise ParseError(f"{path}: array {name!r} has {len(data)} values for shape {shape}")
+    return np.array(data, dtype=np.float64).reshape(shape)
+
+
 def load_params(path: str) -> Params:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: a checkpoint must be a JSON object")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValidationError(f"{path}: not a parameter checkpoint")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValidationError(f"{path}: unsupported checkpoint version {doc.get('version')}")
-    arrays = {}
-    for name, entry in doc["arrays"].items():
-        arrays[name] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+    if not isinstance(doc.get("arrays"), dict):
+        raise ParseError(f"{path}: 'arrays' must be an object")
+    arrays = {name: _read_array(path, name, entry) for name, entry in doc["arrays"].items()}
     try:
         params = Params(**arrays)
     except TypeError as exc:
         raise ValidationError(f"{path}: malformed checkpoint ({exc})") from exc
+    try:
+        expected = _param_shapes(params.config)
+    except (IndexError, ValidationError) as exc:
+        raise ParseError(f"{path}: parameter shapes do not form a model ({exc})") from exc
+    for name, a in params.arrays():
+        if a.shape != expected[name]:
+            raise ParseError(f"{path}: array {name!r} has shape {list(a.shape)}, "
+                             f"the model needs {list(expected[name])}")
     params.validate_finite()
     return params

@@ -9,6 +9,7 @@ exist specifically so each region grower has boundaries only it can see.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,8 @@ class SceneSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "primitives", tuple(self.primitives))
-        if self.density <= 0:
-            raise SceneSpecError("density must be > 0")
+        if not (math.isfinite(self.density) and self.density > 0):
+            raise SceneSpecError(f"density must be finite and > 0, got {self.density}")
 
 
 def _patches_for(prim: Primitive) -> list:
@@ -282,6 +283,8 @@ def make_scene_set(
 ) -> SceneSet:
     """Generate train + eval rooms; the first num_labeled train rooms (after
     a seeded shuffle) keep their labels, the rest become the unlabeled pool."""
+    if min(num_train, num_labeled, num_eval) < 0:
+        raise ValidationError("scene counts must be >= 0")
     if not 0 <= num_labeled <= num_train:
         raise ValidationError("need 0 <= num_labeled <= num_train")
     scenes = []

@@ -1,15 +1,18 @@
 """Superpoint generation: geometric region growing, color region growing with
 cluster merging, and the intersection merge of the two partitions.
 
-Both growers are greedy flood fills over the k-NN graph. Determinism rules,
-all of which the brute-force test oracles share:
+Both growers are one FIFO flood fill, `_flood`, over the k-NN graph; they
+differ only in their seeds and in an (N, k_grow) admission table built once,
+with coordinate sums in the oracles' order. Determinism rules, all of which
+the brute-force test oracles share:
 
 * geometric seeds are picked by minimum curvature (ties by ascending id);
   color seeds are the lowest unsegmented id;
 * seeds are expanded FIFO, their neighbors visited in ascending-distance
   order as returned by the spatial index;
 * the color merge pass always merges the lexicographically first eligible
-  cluster pair, then rescans.
+  cluster pair, then rescans. Its pair list is relabeled in place and never
+  re-sorted, so "first" is the smallest key a * num_clusters + b.
 """
 
 from __future__ import annotations
@@ -139,6 +142,43 @@ def _dissolve_small(membership: np.ndarray, min_cluster: int) -> np.ndarray:
     return out
 
 
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis, summed (x0*y0 + x1*y1) + x2*y2 as the oracles sum."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
+
+
+def _flood(nbrs: np.ndarray, seeds: np.ndarray, admit: np.ndarray, expand: np.ndarray):
+    """FIFO flood fill over the (N, k) k-NN table, shared by both growers.
+
+    Each seed that no group holds yet opens the next group. Neighbor j of a
+    popped point s joins when admit[s, j] holds and no group holds it yet,
+    and it is queued in turn when expand[neighbor] holds. Returns
+    (membership, admitted_by); admitted_by is -1 for seeds and unreached
+    points.
+    """
+    n = nbrs.shape[0]
+    # Python lists index far faster than numpy scalars in this loop.
+    rows, ok, grow = nbrs.tolist(), admit.tolist(), expand.tolist()
+    membership = [-1] * n
+    admitted_by = [-1] * n
+    gid = 0
+    for seed in seeds.tolist():
+        if membership[seed] != -1:
+            continue
+        membership[seed] = gid
+        queue = deque([seed])
+        while queue:
+            s = queue.popleft()
+            for nb, admitted in zip(rows[s], ok[s]):
+                if admitted and membership[nb] == -1:
+                    membership[nb] = gid
+                    admitted_by[nb] = s
+                    if grow[nb]:
+                        queue.append(nb)
+        gid += 1
+    return np.array(membership, dtype=np.int64), np.array(admitted_by, dtype=np.int64)
+
+
 def grow_geometric(
     cloud: PointCloud,
     surf: SurfaceEstimate,
@@ -162,45 +202,15 @@ def grow_geometric(
     if surf.normals.shape[0] != n or index.n != n:
         raise ValidationError("cloud, surface estimate, and index sizes differ")
     nbrs = index.knn_table(cfg.k_grow)
-    normals = surf.normals
-    curv = surf.curvatures
-    cos_t = math.cos(cfg.t_ang)
-
-    membership = np.full(n, -1, dtype=np.int64)
-    admitted_by = np.full(n, -1, dtype=np.int64)
+    admit = np.abs(_dot3(surf.normals[:, None, :], surf.normals[nbrs])) > math.cos(cfg.t_ang)
+    flat = surf.curvatures < cfg.t_cvt
     # Stable sort on curvature = ascending-id tie-break for seed selection.
-    by_curv = np.argsort(curv, kind="stable")
-    cursor = 0
-    gid = 0
-    while True:
-        while cursor < n and membership[by_curv[cursor]] != -1:
-            cursor += 1
-        if cursor == n:
-            break
-        seed0 = by_curv[cursor]
-        if curv[seed0] >= cfg.t_cvt:
-            break
-        membership[seed0] = gid
-        queue = deque([seed0])
-        while queue:
-            s = queue.popleft()
-            ns = normals[s]
-            for nb in nbrs[s]:
-                if membership[nb] != -1:
-                    continue
-                if abs(float(ns @ normals[nb])) > cos_t:
-                    membership[nb] = gid
-                    admitted_by[nb] = s
-                    if curv[nb] < cfg.t_cvt:
-                        queue.append(nb)
-        gid += 1
-
+    by_curv = np.argsort(surf.curvatures, kind="stable")
+    membership, admitted_by = _flood(nbrs, by_curv[flat[by_curv]], admit, flat)
     membership = _dissolve_small(membership, cfg.min_cluster)
     admitted_by[membership == -1] = -1
     part = from_membership(membership)
-    if record_admission:
-        return part, admitted_by
-    return part
+    return (part, admitted_by) if record_admission else part
 
 
 def grow_color(
@@ -224,45 +234,24 @@ def grow_color(
         raise ValidationError("cloud and index sizes differ")
     nbrs = index.knn_table(cfg.k_grow)
     col = cloud.colors_255()
+    d = col[:, None, :] - col[nbrs]
+    admit = np.sqrt(_dot3(d, d)) < cfg.t_clr
+    membership, admitted_by = _flood(nbrs, np.arange(n), admit, np.ones(n, dtype=bool))
+    part = _canonical_by_min_id(_merge_color_clusters(membership, col, nbrs, cfg))
+    return (part, admitted_by) if record_admission else part
 
-    membership = np.full(n, -1, dtype=np.int64)
-    admitted_by = np.full(n, -1, dtype=np.int64)
-    gid = 0
-    for start in range(n):
-        if membership[start] != -1:
-            continue
-        membership[start] = gid
-        queue = deque([start])
-        while queue:
-            s = queue.popleft()
-            cs = col[s]
-            for nb in nbrs[s]:
-                if membership[nb] != -1:
-                    continue
-                d = cs - col[nb]
-                if math.sqrt(float(d @ d)) < cfg.t_clr:
-                    membership[nb] = gid
-                    admitted_by[nb] = s
-                    queue.append(nb)
-        gid += 1
 
-    membership = _merge_color_clusters(membership, col, nbrs, cfg)
-    part = _canonical_by_min_id(membership)
-    if record_admission:
-        return part, admitted_by
-    return part
+def _ordered_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(P, 2) rows (min, max) of a and b, rows with a == b dropped."""
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    keep = lo != hi
+    return np.stack([lo[keep], hi[keep]], axis=1)
 
 
 def _adjacency_pairs(membership: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
     """Sorted unique (a, b) cluster pairs linked by any k-NN edge, a < b."""
-    src = np.repeat(membership, nbrs.shape[1])
-    dst = membership[nbrs.ravel()]
-    a = np.minimum(src, dst)
-    b = np.maximum(src, dst)
-    keep = a != b
-    pairs = np.stack([a[keep], b[keep]], axis=1)
-    if pairs.size == 0:
-        return pairs.reshape(0, 2)
+    pairs = _ordered_pairs(np.repeat(membership, nbrs.shape[1]), membership[nbrs.ravel()])
     return np.unique(pairs, axis=0)
 
 
@@ -275,31 +264,32 @@ def _merge_color_clusters(membership: np.ndarray, col: np.ndarray, nbrs: np.ndar
     pairs = _adjacency_pairs(mem, nbrs)
     alias = np.arange(num, dtype=np.int64)
 
+    def mean(ids):
+        return sums[ids] / np.maximum(sizes[ids], 1.0)[..., None]
+
+    # merge_into relabels pairs in place without re-sorting or deduplicating
+    # the list, so it may hold repeated pairs in any order. Pass 1 picks by
+    # the key a * num + b, whose minimum is the lexicographically first pair;
+    # pass 2's (size, id) and (dist, id) minimums do not see repeats.
     def merge_into(src: int, dst: int):
         nonlocal pairs
         sums[dst] += sums[src]
         sizes[dst] += sizes[src]
         sizes[src] = 0.0
         alias[alias == src] = dst
-        if pairs.shape[0]:
-            p = pairs.copy()
-            p[p == src] = dst
-            a = np.minimum(p[:, 0], p[:, 1])
-            b = np.maximum(p[:, 0], p[:, 1])
-            keep = a != b
-            p = np.stack([a[keep], b[keep]], axis=1)
-            pairs = np.unique(p, axis=0) if p.size else p.reshape(0, 2)
+        pairs[pairs == src] = dst
+        pairs = _ordered_pairs(pairs[:, 0], pairs[:, 1])
 
     # Pass 1: fuse adjacent clusters with close average colors, first
     # eligible pair (ascending) each iteration, until fixpoint.
     while pairs.shape[0]:
-        means = sums / np.maximum(sizes, 1.0)[:, None]
+        means = mean(slice(None))
         diff = means[pairs[:, 0]] - means[pairs[:, 1]]
         dist = np.sqrt((diff * diff).sum(axis=1))
-        eligible = dist < cfg.t_merge
-        if not eligible.any():
+        eligible = np.nonzero(dist < cfg.t_merge)[0]
+        if eligible.size == 0:
             break
-        a, b = pairs[int(np.argmax(eligible))]
+        a, b = pairs[eligible[np.argmin(pairs[eligible, 0] * num + pairs[eligible, 1])]]
         merge_into(int(b), int(a))
 
     # Pass 2: fold undersized clusters into their nearest-color neighbor,
@@ -316,18 +306,12 @@ def _merge_color_clusters(membership: np.ndarray, col: np.ndarray, nbrs: np.ndar
         g = int(cand[np.lexsort((cand, sizes[cand]))[0]])
         mask = (pairs[:, 0] == g) | (pairs[:, 1] == g)
         others = np.where(pairs[mask, 0] == g, pairs[mask, 1], pairs[mask, 0])
-        means = sums / np.maximum(sizes, 1.0)[:, None]
-        diff = means[others] - means[g]
+        diff = mean(others) - mean(g)
         dist = (diff * diff).sum(axis=1)
         target = int(others[np.lexsort((others, dist))[0]])
         merge_into(g, target)
 
-    mem = alias[mem]
-    # Compact surviving ids, preserving ascending order.
-    alive_ids = np.unique(mem)
-    remap = np.full(num, -1, dtype=np.int64)
-    remap[alive_ids] = np.arange(alive_ids.shape[0])
-    return remap[mem]
+    return alias[mem]
 
 
 def merge_partitions(geo: SuperpointPartition, color: SuperpointPartition) -> SuperpointPartition:
@@ -350,13 +334,7 @@ def merge_partitions(geo: SuperpointPartition, color: SuperpointPartition) -> Su
 
 def restrict_partition(sp: SuperpointPartition, ids: np.ndarray) -> SuperpointPartition:
     """Partition induced on a subset of points (intersection semantics)."""
-    sub = sp.membership[np.asarray(ids, dtype=np.int64)]
-    out = np.full(sub.shape[0], -1, dtype=np.int64)
-    clustered = sub >= 0
-    if clustered.any():
-        _, inverse = np.unique(sub[clustered], return_inverse=True)
-        out[clustered] = inverse
-    return _canonical_by_min_id(out)
+    return _canonical_by_min_id(sp.membership[np.asarray(ids, dtype=np.int64)])
 
 
 def sample_group_indices(sp: SuperpointPartition, k_samples: int, seed: int) -> np.ndarray:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from spseg import optimize_pseudo_labels
+from spseg import ModelConfig, init_params, optimize_pseudo_labels, save_params
 from spseg.cli import main
 from spseg.io import read_cloud, read_label_file, read_partition
 from spseg.labels import LabelSet
@@ -55,6 +55,16 @@ class TestSynth:
             assert cloud.n >= 5000
             if entry["split"] == "unlabeled":
                 assert labels is None
+
+    @pytest.mark.parametrize("flags", [
+        ["--eval", "-1"], ["--scenes", "-1", "--labeled", "0"], ["--labeled", "-1"],
+        ["--density", "nan"], ["--density", "inf"], ["--density=-inf"],
+    ])
+    def test_bad_counts_and_density_are_data_errors(self, tmp_path, capsys, flags):
+        out = tmp_path / "scenes"
+        assert main(["synth", "--out", str(out), "--scenes", "2", "--labeled", "1"] + flags) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
 
 class TestSuperpointsAndEdges:
@@ -229,6 +239,35 @@ class TestExitCodes:
         }[command]
         assert main(argv) == 2
         assert "outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["top_level_list", "no_arrays", "size_mismatch", "w2_rows_not_twice_w1"])
+    @pytest.mark.parametrize("command", ["eval", "export-ply"])
+    def test_malformed_checkpoint_is_data_error(self, workspace, tmp_path, capsys, command, case):
+        params = str(tmp_path / "params.json")
+        model = workspace["config_doc"]["model"]
+        save_params(init_params(ModelConfig(**model), seed=0), params)
+        doc = json.load(open(params))
+        arrays = doc["arrays"]
+        if case == "top_level_list":
+            doc = [doc]
+        elif case == "no_arrays":
+            del doc["arrays"]
+        elif case == "size_mismatch":
+            arrays["b1"]["shape"] = [model["width1"] + 1]
+        else:
+            w2 = (2 * model["width1"] + 1, model["c_hidden"])
+            arrays["w2"] = {"shape": list(w2), "data": [0.0] * (w2[0] * w2[1])}
+        with open(params, "w") as fh:
+            json.dump(doc, fh)
+        out = str(tmp_path / "out")
+        argv = {
+            "eval": ["eval", "--config", workspace["config"], "--params", params, "--out", out],
+            "export-ply": ["export-ply", "--in", workspace["scene_file"], "--mode", "prediction",
+                           "--params", params, "--config", workspace["config"], "--out", out],
+        }[command]
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     @staticmethod
     def train_on_manifest(tmp_path, manifest) -> int:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from spseg import (
     LabelSet,
     ModelConfig,
     Params,
+    ParseError,
     ValidationError,
     aggregate_superpoint_features,
     backward,
@@ -257,3 +260,56 @@ class TestCheckpoint:
         p = init_params(CFG, seed=0)
         with pytest.raises(ValidationError):
             p.from_vector(np.zeros(p.to_vector().size + 1))
+
+
+def _set(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+def _drop(doc, keys):
+    for key in keys[:-1]:
+        doc = doc[key]
+    del doc[keys[-1]]
+
+
+# Each case edits a valid checkpoint of CFG (width1=4, c_hidden=6, num_classes=3).
+MALFORMED_CHECKPOINTS = {
+    "top_level_list": lambda doc: [doc],
+    "no_arrays": lambda doc: _drop(doc, ["arrays"]),
+    "arrays_list": lambda doc: _set(doc, ["arrays"], []),
+    "entry_not_object": lambda doc: _set(doc, ["arrays", "b1"], [0.0] * 4),
+    "no_data": lambda doc: _drop(doc, ["arrays", "b1", "data"]),
+    "data_not_list": lambda doc: _set(doc, ["arrays", "b1", "data"], "0 0 0 0"),
+    "data_string_value": lambda doc: _set(doc, ["arrays", "b1", "data"], [0.0, 0.0, "x", 0.0]),
+    "data_bool_value": lambda doc: _set(doc, ["arrays", "b1", "data"], [0.0, 0.0, True, 0.0]),
+    "data_nested": lambda doc: _set(doc, ["arrays", "b1", "data"], [[0.0, 0.0], [0.0, 0.0]]),
+    "no_shape": lambda doc: _drop(doc, ["arrays", "b1", "shape"]),
+    "shape_float": lambda doc: _set(doc, ["arrays", "b1", "shape"], [4.0]),
+    "shape_negative": lambda doc: _set(doc, ["arrays", "b1", "shape"], [-4]),
+    "size_mismatch": lambda doc: _set(doc, ["arrays", "b1", "shape"], [5]),
+    "w1_one_dimensional": lambda doc: _set(doc, ["arrays", "w1", "shape"], [24]),
+    "w2_rows_not_twice_w1": lambda doc: _set(doc, ["arrays", "w2"], {"shape": [9, 6], "data": [0.0] * 54}),
+    "bias_too_long": lambda doc: _set(doc, ["arrays", "bc"], {"shape": [4], "data": [0.0] * 4}),
+    "wrong_input_dim": lambda doc: _set(doc, ["arrays", "w1"], {"shape": [5, 4], "data": [0.0] * 20}),
+}
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_parse_error(self, tmp_path, case):
+        path = str(tmp_path / "params.json")
+        save_params(init_params(CFG, seed=1), path)
+        doc = json.load(open(path))
+        edited = MALFORMED_CHECKPOINTS[case](doc)
+        with open(path, "w") as fh:
+            json.dump(doc if edited is None else edited, fh)
+        with pytest.raises(ParseError):
+            load_params(path)
+
+    def test_shapes_of_every_model_config_load(self, tmp_path):
+        for cfg in (CFG, ModelConfig(), ModelConfig(width1=1, c_hidden=1, num_classes=2, ep_hidden=1)):
+            path = str(tmp_path / "params.json")
+            save_params(init_params(cfg, seed=2), path)
+            assert load_params(path).config == cfg

@@ -49,6 +49,11 @@ class TestGenerator:
         with pytest.raises(SceneSpecError):
             generate_synthetic_scene(0, floor_only_spec(density=50_000.0))
 
+    @pytest.mark.parametrize("density", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_density_rejected(self, density):
+        with pytest.raises(SceneSpecError):
+            floor_only_spec(density=density)
+
     def test_deterministic(self):
         spec = default_room_spec(4)
         a, la = generate_synthetic_scene(9, spec)
@@ -114,3 +119,8 @@ class TestSceneSet:
     def test_rejects_bad_split(self):
         with pytest.raises(ValidationError):
             make_scene_set(num_train=2, num_labeled=3, num_eval=1, seed=0)
+
+    @pytest.mark.parametrize("counts", [(2, 1, -1), (-1, 0, 1), (2, -1, 1)])
+    def test_rejects_negative_counts(self, counts):
+        with pytest.raises(ValidationError):
+            make_scene_set(*counts, seed=0)

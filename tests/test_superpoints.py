@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import grid_cloud, random_cloud
@@ -216,6 +216,76 @@ def _connected_same_color_components(cloud, cfg):
                     seen.add(j)
                     stack.append(j)
     return comps
+
+
+# Tie cases: lattice points at unit spacing, so many k-NN distances tie, with
+# colors or normals taken from 2-3 exact values. A color step of 4/256 is
+# exactly 3.984375 in 0-255 units, so color distances, cluster-mean distances
+# and the thresholds below (multiples of half a step) tie exactly too.
+_STEP = 4.0 / 256.0
+_STEP_255 = 255.0 * _STEP
+# |dot| between these is exactly 1, 0.8 or 0.
+_TIE_NORMALS = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.6, 0.0, 0.8), (1.0, 0.0, 0.0))
+
+
+def lattice(shape):
+    axes = np.meshgrid(*(np.arange(m) for m in shape), indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, 3).astype(np.float64)
+
+
+# 9 to 60 points; each point takes value picks[i] % len(values) of 2-3 values.
+lattice_shapes = st.tuples(st.integers(3, 6), st.integers(3, 5), st.integers(1, 2))
+lattice_picks = st.lists(st.integers(0, 2), min_size=60, max_size=60)
+
+
+class TestGrowersOnTies:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=lattice_shapes,
+        picks=lattice_picks,
+        palette=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=2, max_size=3),
+        t_clr=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+        t_merge=st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5]),
+        k_grow=st.integers(3, 8),
+        min_cluster=st.integers(1, 12),
+    )
+    # Two merge orders of a three-color chain give different partitions.
+    @example(shape=(3, 3, 1), picks=[0] * 7 + [1, 2] + [0] * 51, palette=[(0, 0), (1, 0), (2, 0)],
+             t_clr=0.5, t_merge=1.5, k_grow=3, min_cluster=1)
+    # Singletons fold into equidistant neighbors after relabeled pairs.
+    @example(shape=(6, 5, 2), picks=[1 if i in (8, 16, 28, 45, 53) else 0 for i in range(60)],
+             palette=[(0, 0), (0, 1)], t_clr=0.5, t_merge=0.5, k_grow=3, min_cluster=2)
+    def test_color_matches_oracle(self, shape, picks, palette, t_clr, t_merge, k_grow, min_cluster):
+        pos = lattice(shape)
+        steps = np.array(palette, dtype=np.float64)[np.array(picks[: len(pos)]) % len(palette)]
+        cloud = PointCloud(positions=pos, colors=np.c_[steps * _STEP, np.zeros(len(pos))])
+        cfg = GrowingConfig(t_clr=t_clr * _STEP_255, t_merge=t_merge * _STEP_255,
+                            k_grow=k_grow, min_cluster=min_cluster)
+        part = grow_color(cloud, build_index(cloud), cfg)
+        assert partition_as_lists(part) == (oracle_grow_color(pos, cloud.colors_255(), cfg), [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=lattice_shapes,
+        picks=lattice_picks,
+        normals=st.lists(st.sampled_from(_TIE_NORMALS), min_size=2, max_size=3),
+        curvature_picks=lattice_picks,
+        curvatures=st.lists(st.sampled_from([0.0, 0.02, 0.1]), min_size=2, max_size=3),
+        t_ang=st.sampled_from([1e-9, 0.5, 0.7, 1.6]),
+        t_cvt=st.sampled_from([0.02, 0.05, 0.2]),
+        k_grow=st.integers(3, 8),
+        min_cluster=st.integers(1, 12),
+    )
+    def test_geometric_matches_oracle(self, shape, picks, normals, curvature_picks, curvatures,
+                                      t_ang, t_cvt, k_grow, min_cluster):
+        pos = lattice(shape)
+        n = len(pos)
+        surf = surface_from(np.array(normals)[np.array(picks[:n]) % len(normals)],
+                            np.array(curvatures)[np.array(curvature_picks[:n]) % len(curvatures)])
+        cloud = PointCloud(positions=pos, colors=np.full(pos.shape, 0.5))
+        cfg = GrowingConfig(t_ang=t_ang, t_cvt=t_cvt, k_grow=k_grow, min_cluster=min_cluster)
+        part = grow_geometric(cloud, surf, build_index(cloud), cfg)
+        assert partition_as_lists(part) == oracle_grow_geometric(pos, surf.normals, surf.curvatures, cfg)
 
 
 class TestMergePartitions:
